@@ -22,9 +22,10 @@
 #      --assert-coverage 0.90: per-stage attribution (sample/plan/submit/
 #      wait/reap/scatter) must sum to within 10% of the end-to-end batch
 #      latency (see DESIGN.md §12)
-#   9. ring_modes gate — the zero-syscall ring-mode ladder A/B (see
-#      DESIGN.md §13), with RS_RING_ASSERT enforcing byte-identical
-#      samples across every rung and a >= 50% enter-syscall-per-I/O-group
+#   9. ring_modes gate — the zero-syscall ring-mode ladder A/B over its
+#      three rungs, off / registered / defer_taskrun (see DESIGN.md §13),
+#      with RS_RING_ASSERT enforcing byte-identical samples across every
+#      rung and a >= 50% enter-syscall-per-I/O-group
 #      reduction for defer_taskrun vs off (self-skips with a notice when
 #      the kernel refuses DEFER_TASKRUN — there is nothing to measure
 #      then); refreshes the committed BENCH_ring_modes.json baseline

@@ -1,5 +1,5 @@
-//! Ring-mode ladder A/B: `off` → `registered` → `defer_taskrun` →
-//! `bufring` on a skewed power-law graph with replacement sampling.
+//! Ring-mode ladder A/B: `off` → `registered` → `defer_taskrun` on a
+//! skewed power-law graph with replacement sampling.
 //!
 //! Every rung samples the same epoch with the same seed; the binary
 //! cross-checks that all rungs produce identical samples (a commutative
@@ -78,8 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         h.threads
     );
     println!(
-        "kernel caps: registered_ring_fds={} defer_taskrun={} buf_ring={}\n",
-        caps.registered_ring_fds, caps.defer_taskrun, caps.buf_ring
+        "kernel caps: registered_ring_fds={} defer_taskrun={}\n",
+        caps.registered_ring_fds, caps.defer_taskrun
     );
 
     let spec = GeneratorSpec::PowerLaw {
@@ -101,7 +101,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batches: u64,
         io_groups: u64,
         per_group: f64,
-        bufring_reads: u64,
         fallbacks: u64,
         granted: u32,
         requested: u32,
@@ -135,7 +134,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             batches: report.metrics.batches,
             io_groups,
             per_group: report.metrics.syscalls as f64 / io_groups.max(1) as f64,
-            bufring_reads: report.metrics.bufring_reads,
             fallbacks: report.metrics.ring_mode_fallbacks,
             granted: report.ring_setup.granted_flags,
             requested: report.ring_setup.requested_flags,
@@ -147,23 +145,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let base_per_group = rows.first().map(|r| r.per_group).unwrap_or(0.0).max(f64::MIN_POSITIVE);
     let header = format!(
-        "{:<14} {:>8} {:>9} {:>9} {:>10} {:>8} {:>13} {:>5} {:>9} {:>20}",
+        "{:<14} {:>8} {:>9} {:>9} {:>10} {:>8} {:>5} {:>9} {:>20}",
         "mode", "seconds", "syscalls", "io_groups", "sys/group", "vs off",
-        "bufring_reads", "lazy", "fallbacks", "granted_flags"
+        "lazy", "fallbacks", "granted_flags"
     );
     let lines: Vec<String> = rows
         .iter()
         .map(|r| {
             let delta = 100.0 * (1.0 - r.per_group / base_per_group);
             format!(
-                "{:<14} {:>8.3} {:>9} {:>9} {:>10.2} {:>7.1}% {:>13} {:>5} {:>9} {:>20}",
+                "{:<14} {:>8.3} {:>9} {:>9} {:>10.2} {:>7.1}% {:>5} {:>9} {:>20}",
                 r.label,
                 r.seconds,
                 r.syscalls,
                 r.io_groups,
                 r.per_group,
                 delta,
-                r.bufring_reads,
                 r.lazy,
                 r.fallbacks,
                 ringsampler_io::RingSetupInfo::flag_names(r.granted),
@@ -190,7 +187,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .with("batches", Json::U64(r.batches))
                     .with("io_groups", Json::U64(r.io_groups))
                     .with("syscalls_per_group", Json::F64(r.per_group))
-                    .with("bufring_reads", Json::U64(r.bufring_reads))
                     .with("ring_mode_fallbacks", Json::U64(r.fallbacks))
                     .with("requested_flags", Json::U64(r.requested as u64))
                     .with("granted_flags", Json::U64(r.granted as u64))
@@ -214,8 +210,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "caps",
                 Json::object()
                     .with("registered_ring_fds", Json::Bool(caps.registered_ring_fds))
-                    .with("defer_taskrun", Json::Bool(caps.defer_taskrun))
-                    .with("buf_ring", Json::Bool(caps.buf_ring)),
+                    .with("defer_taskrun", Json::Bool(caps.defer_taskrun)),
             )
             .with("variants", Json::Array(entries))
             .to_string_pretty();

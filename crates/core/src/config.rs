@@ -37,16 +37,11 @@ pub enum RingMode {
     /// published SQEs ride the next wait's enter, merging the submit and
     /// wait syscalls of pipelined groups.
     DeferTaskrun,
-    /// Plus provided buffer rings (`IORING_REGISTER_PBUF_RING` +
-    /// `IOSQE_BUFFER_SELECT`): the kernel picks read buffers from a
-    /// per-ring recycled group, eliminating per-read buffer passing.
-    BufRing,
 }
 
 impl RingMode {
     /// All rungs, lowest first (bench and proptest iterate this).
-    pub const ALL: [RingMode; 4] =
-        [RingMode::Off, RingMode::Registered, RingMode::DeferTaskrun, RingMode::BufRing];
+    pub const ALL: [RingMode; 3] = [RingMode::Off, RingMode::Registered, RingMode::DeferTaskrun];
 
     /// Reads `RS_RING_MODE` from the environment; unset or unparseable
     /// values fall back to [`RingMode::Off`].
@@ -66,9 +61,8 @@ impl std::str::FromStr for RingMode {
             "off" | "none" | "0" => Ok(RingMode::Off),
             "registered" | "ringfd" | "ring_fd" => Ok(RingMode::Registered),
             "defer" | "defer_taskrun" | "defertaskrun" => Ok(RingMode::DeferTaskrun),
-            "bufring" | "buf_ring" | "pbuf" => Ok(RingMode::BufRing),
             other => Err(SamplerError::InvalidConfig(format!(
-                "unknown ring mode {other:?} (expected off|registered|defer_taskrun|bufring)"
+                "unknown ring mode {other:?} (expected off|registered|defer_taskrun)"
             ))),
         }
     }
@@ -80,7 +74,6 @@ impl std::fmt::Display for RingMode {
             RingMode::Off => "off",
             RingMode::Registered => "registered",
             RingMode::DeferTaskrun => "defer_taskrun",
-            RingMode::BufRing => "bufring",
         })
     }
 }
@@ -127,8 +120,6 @@ pub struct SamplerConfig {
     /// RNG seed; sampling is deterministic per (seed, batch index),
     /// independent of thread count.
     pub seed: u64,
-    /// Use kernel-side SQPOLL if the kernel permits (paper future work).
-    pub sqpoll: bool,
     /// Zero-syscall ring-mode ladder rung (see [`RingMode`]). Defaults to
     /// the `RS_RING_MODE` environment variable, else [`RingMode::Off`].
     /// Every rung is probe-gated and degrades gracefully; sampling output
@@ -154,11 +145,6 @@ pub struct SamplerConfig {
     /// [`crate::plan`]). `Off` (default) issues the paper-faithful one
     /// read per sampled entry, bit-identical to pre-planner behavior.
     pub read_plan: ReadPlanMode,
-    /// Pin a per-worker pool of registered fixed buffers
-    /// (`IORING_REGISTER_BUFFERS`) and read via `IORING_OP_READ_FIXED`.
-    /// Registration failure (old kernel, `RLIMIT_MEMLOCK`) is recorded in
-    /// `regbuf_fallbacks` and degrades to plain reads — never an error.
-    pub register_buffers: bool,
     /// Live telemetry (`ringscope`): when set, every worker publishes a
     /// per-batch snapshot through a seqlock slot and an embedded HTTP
     /// server exposes `/metrics`, `/progress`, and `/healthz` plus a
@@ -186,14 +172,12 @@ impl Default for SamplerConfig {
             cache: CachePolicy::None,
             budget: MemoryBudget::unlimited(),
             seed: 0x5EED,
-            sqpoll: false,
             ring_mode: RingMode::from_env(),
             register_file: true,
             with_replacement: false,
             span_capacity: 8192,
             trace_capacity: 8192,
             read_plan: ReadPlanMode::Off,
-            register_buffers: false,
             telemetry: None,
             profile_resources: true,
         }
@@ -267,12 +251,6 @@ impl SamplerConfig {
         self
     }
 
-    /// Requests kernel-side submission polling.
-    pub fn sqpoll(mut self, enable: bool) -> Self {
-        self.sqpoll = enable;
-        self
-    }
-
     /// Selects the zero-syscall ring-mode ladder rung (default: the
     /// `RS_RING_MODE` environment variable, else [`RingMode::Off`]).
     pub fn ring_mode(mut self, mode: RingMode) -> Self {
@@ -308,13 +286,6 @@ impl SamplerConfig {
     /// Selects the read-plan optimization (default [`ReadPlanMode::Off`]).
     pub fn read_plan(mut self, mode: ReadPlanMode) -> Self {
         self.read_plan = mode;
-        self
-    }
-
-    /// Enables the registered fixed-buffer pool (default off; falls back
-    /// to plain reads gracefully when registration fails).
-    pub fn register_buffers(mut self, enable: bool) -> Self {
-        self.register_buffers = enable;
         self
     }
 
@@ -460,12 +431,8 @@ mod tests {
     fn read_plan_defaults_off_and_builds() {
         let c = SamplerConfig::default();
         assert!(c.read_plan.is_off());
-        assert!(!c.register_buffers);
-        let c = SamplerConfig::new()
-            .read_plan(ReadPlanMode::coalesce())
-            .register_buffers(true);
+        let c = SamplerConfig::new().read_plan(ReadPlanMode::coalesce());
         assert!(!c.read_plan.is_off());
-        assert!(c.register_buffers);
         assert!(c.validate().is_ok());
     }
 
@@ -475,7 +442,12 @@ mod tests {
             assert_eq!(mode.to_string().parse::<RingMode>().unwrap(), mode);
         }
         assert_eq!("defer".parse::<RingMode>().unwrap(), RingMode::DeferTaskrun);
-        assert_eq!("PBUF".parse::<RingMode>().unwrap(), RingMode::BufRing);
+        for retired in ["bufring", "pbuf"] {
+            assert!(matches!(
+                retired.parse::<RingMode>(),
+                Err(SamplerError::InvalidConfig(_))
+            ));
+        }
         assert_eq!("ringfd".parse::<RingMode>().unwrap(), RingMode::Registered);
         assert!("warp-speed".parse::<RingMode>().is_err());
         let c = SamplerConfig::new().ring_mode(RingMode::DeferTaskrun);

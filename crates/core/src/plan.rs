@@ -24,8 +24,7 @@
 use ringsampler_io::ReadSlice;
 
 /// Hard cap on a single coalesced slice. Bounds the transient payload a
-/// greedy merge can produce on densely-sampled hubs and keeps every planned
-/// slice small enough for a registered fixed buffer.
+/// greedy merge can produce on densely-sampled hubs.
 pub const MAX_COALESCED_BYTES: u64 = 64 * 1024;
 
 /// Default coalescing gap: entries within one 4 KiB page-worth of bytes of

@@ -31,16 +31,6 @@ use crate::metrics::{SampleMetrics, WorkerResources, WorkerStats};
 use crate::plan::{ReadPlanMode, ReadPlanner};
 use crate::sampling::OffsetSampler;
 
-/// Registered fixed-buffer pool shape per worker: enough for the two
-/// in-flight groups of the async pipeline plus slack, each large enough
-/// for a group of coalesced slices. Groups that exceed one buffer fall
-/// back to plain reads transparently (see `UringReader`).
-const REG_BUF_COUNT: usize = 4;
-/// Bytes per registered fixed buffer (256 KiB; 1 MiB pinned per worker).
-const REG_BUF_BYTES: usize = 256 * 1024;
-/// Bytes per provided buffer in `RingMode::BufRing`'s kernel-recycled
-/// group: one page, covering both entry reads and page-cache fills.
-const PBUF_EACH_BYTES: u32 = 4096;
 /// In-flight group window of the async pipeline when the ring defers
 /// submission (`RingMode::DeferTaskrun`+): the single GETEVENTS enter
 /// that reaps the oldest group also flushes every published SQE behind
@@ -82,9 +72,6 @@ pub struct SamplerWorker {
     /// Recycled page buffers: the cached path reuses these instead of
     /// allocating a fresh `Vec<u8>` per miss page every layer.
     page_pool: Vec<Vec<u8>>,
-    /// Bytes pinned in the reader's registered fixed-buffer pool (0 when
-    /// registration is off or failed); charged to the workspace.
-    regbuf_bytes: u64,
     workspace_charge: MemoryCharge,
     charged_bytes: u64,
     last_reader_stats: ringsampler_io::ReaderStats,
@@ -174,13 +161,11 @@ impl SamplerWorker {
             .map_err(|e| crate::error::SamplerError::Io(IoEngineError::File(e)))?
             .len();
         let engine = cfg.engine.unwrap_or_else(ringsampler_io::default_engine);
-        let mut regbuf_bytes = 0u64;
-        let mut regbuf_fallback = false;
         let mut regfile_fallback = false;
         let mut ring_mode_fallbacks = 0u64;
         let reader: Box<dyn GroupReader> = match engine {
             EngineKind::Uring => {
-                let mut b = RingBuilder::new().entries(cfg.ring_entries).sqpoll(cfg.sqpoll);
+                let mut b = RingBuilder::new().entries(cfg.ring_entries);
                 // Climb the ring-mode ladder rung by rung, but only onto
                 // rungs the kernel actually grants (probed once per
                 // process): a refused rung is a recorded fallback, never
@@ -200,16 +185,6 @@ impl SamplerWorker {
                         ring_mode_fallbacks += 1;
                     }
                 }
-                if cfg.ring_mode >= RingMode::BufRing {
-                    if caps.buf_ring {
-                        // ~2 groups of provided buffers in flight, each
-                        // slot big enough for a page-mode read.
-                        let entries = (cfg.ring_entries.saturating_mul(2)).min(32_768) as u16;
-                        b = b.buf_ring(entries, PBUF_EACH_BYTES);
-                    } else {
-                        ring_mode_fallbacks += 1;
-                    }
-                }
                 let mut r = UringReader::with_file(file, b)?;
                 if cfg.register_file {
                     // Best effort: fall back to plain fd addressing if the
@@ -219,41 +194,20 @@ impl SamplerWorker {
                         regfile_fallback = true;
                     }
                 }
-                if cfg.register_buffers {
-                    // Best effort too: a refusal (old kernel, RLIMIT_MEMLOCK,
-                    // forced-failure hook) is recorded as a fallback counter
-                    // + span, never surfaced to the sampler.
-                    match r.register_read_buffers(REG_BUF_COUNT, REG_BUF_BYTES) {
-                        Ok(()) => regbuf_bytes = (REG_BUF_COUNT * REG_BUF_BYTES) as u64,
-                        Err(_) => regbuf_fallback = true,
-                    }
-                }
                 Box::new(r)
             }
-            EngineKind::Pread => {
-                if cfg.register_buffers {
-                    // No ring to register against: same degradation path.
-                    regbuf_fallback = true;
-                }
-                Box::new(PreadReader::with_file(file, cfg.ring_entries))
-            }
+            EngineKind::Pread => Box::new(PreadReader::with_file(file, cfg.ring_entries)),
         };
         let cache = match cfg.cache {
             CachePolicy::None => None,
             CachePolicy::Page { budget_bytes } => Some(PageCache::new(budget_bytes, &cfg.budget)?),
         };
-        // Initial workspace charge: ring buffers + pinned fixed buffers +
-        // a small floor; grows with actual vector capacity as batches
-        // expand.
-        let base = 2 * cfg.ring_entries as u64 * ENTRY_BYTES + 64 * 1024 + regbuf_bytes;
+        // Initial workspace charge: ring buffers + a small floor; grows
+        // with actual vector capacity as batches expand.
+        let base = 2 * cfg.ring_entries as u64 * ENTRY_BYTES + 64 * 1024;
         let workspace_charge = cfg.budget.charge(base, "thread workspace")?;
         let mut spans = SpanLog::with_capacity(cfg.span_capacity);
         let mut metrics = SampleMetrics::default();
-        if regbuf_fallback {
-            metrics.regbuf_fallbacks = 1;
-            let now = Instant::now();
-            spans.record("regbuf_fallback", now, now);
-        }
         if ring_mode_fallbacks > 0 {
             metrics.ring_mode_fallbacks = ring_mode_fallbacks;
             let now = Instant::now();
@@ -284,7 +238,6 @@ impl SamplerWorker {
             payload: Vec::new(),
             page_data: Vec::new(),
             page_pool: Vec::new(),
-            regbuf_bytes,
             workspace_charge,
             charged_bytes: base,
             last_reader_stats: ringsampler_io::ReaderStats::default(),
@@ -300,9 +253,6 @@ impl SamplerWorker {
         };
         // Degradations discovered during construction go to the flight
         // recorder too, so `ringtrace` sees them alongside the I/O events.
-        if regbuf_fallback {
-            w.trace(EventKind::RegBufFallback, 0, 0, 0, 0);
-        }
         if regfile_fallback {
             w.trace(EventKind::RegFileFallback, 0, 0, 0, 0);
         }
@@ -920,10 +870,12 @@ impl SamplerWorker {
     /// Runs the I/O-group pipeline over `reqs`, invoking `consume` on each
     /// completed group buffer **in submission order**.
     ///
-    /// Async mode keeps two groups in flight: while the kernel works on
-    /// group *k*, the CPU prepares and submits group *k+1*, then polls
-    /// *k*'s completions from the CQ (paper Fig. 3b). Sync mode submits and
-    /// waits one group at a time.
+    /// One FIFO window loop serves every mode: up to `depth` groups are in
+    /// flight, and once the window is full (or every group is submitted)
+    /// the oldest is completed. Async mode keeps two groups in flight, so
+    /// while the kernel works on group *k* the CPU prepares and submits
+    /// group *k+1* (paper Fig. 3b); Sync mode is the window of one, which
+    /// submits and waits one group at a time.
     fn pipelined_read<F>(&mut self, reqs: &[ReadSlice], mut consume: F) -> Result<()>
     where
         F: FnMut(&[u8]),
@@ -937,75 +889,51 @@ impl SamplerWorker {
         // the oldest group's completion needs carries every published
         // SQE, so one enter drives the whole window) and shrink chunks so
         // the window fits the SQ.
-        let depth = if self.cfg.pipeline == PipelineMode::Async
-            && self.reader.ring_setup().lazy_submission
-        {
-            qd = (qd / LAZY_PIPELINE_DEPTH).max(1);
-            LAZY_PIPELINE_DEPTH
-        } else {
-            2
+        let depth = match self.cfg.pipeline {
+            PipelineMode::Sync => 1,
+            PipelineMode::Async if self.reader.ring_setup().lazy_submission => {
+                qd = (qd / LAZY_PIPELINE_DEPTH).max(1);
+                LAZY_PIPELINE_DEPTH
+            }
+            PipelineMode::Async => 2,
         };
         let mut prepare_nanos = 0u64;
         let mut complete_nanos = 0u64;
         let mut aggregate_nanos = 0u64;
-        match self.cfg.pipeline {
-            PipelineMode::Sync => {
-                for chunk in reqs.chunks(qd) {
-                    let buf = self.buf_pool.pop().unwrap_or_default();
-                    let t0 = Instant::now();
-                    let token = self.reader.submit_group(chunk, buf)?;
-                    let t1 = Instant::now();
-                    prepare_nanos += nanos_between(t0, t1);
-                    let filled = self.reader.complete_group(token)?;
-                    let t2 = Instant::now();
-                    complete_nanos += nanos_between(t1, t2);
-                    self.cq_hist.record(nanos_between(t1, t2));
-                    self.spans.record("io_group", t0, t2);
-                    consume(&filled);
-                    aggregate_nanos += nanos_between(t2, Instant::now());
-                    self.buf_pool.push(filled);
+        // Each in-flight token carries its submit instant so the io_group
+        // span covers the full submit→complete window. Groups complete
+        // strictly in submission order, so `consume` sees the same byte
+        // stream at every depth.
+        let mut inflight: VecDeque<(GroupToken, Instant)> = VecDeque::new();
+        let mut chunks = reqs.chunks(qd);
+        loop {
+            // When a submit fills the window, the completion wait starts
+            // at the instant the submit returned.
+            let mut submitted_at = None;
+            if let Some(chunk) = chunks.next() {
+                let buf = self.buf_pool.pop().unwrap_or_default();
+                let t0 = Instant::now();
+                let token = self.reader.submit_group(chunk, buf)?;
+                let t1 = Instant::now();
+                prepare_nanos += nanos_between(t0, t1);
+                inflight.push_back((token, t0));
+                if inflight.len() < depth {
+                    continue;
                 }
+                submitted_at = Some(t1);
             }
-            PipelineMode::Async => {
-                // Each in-flight token carries its submit instant so the
-                // io_group span covers the full submit→complete window.
-                // Groups complete strictly in submission order (FIFO), so
-                // `consume` sees the same byte stream at every depth.
-                let mut inflight: VecDeque<(GroupToken, Instant)> = VecDeque::new();
-                for chunk in reqs.chunks(qd) {
-                    let buf = self.buf_pool.pop().unwrap_or_default();
-                    let t0 = Instant::now();
-                    let token = self.reader.submit_group(chunk, buf)?;
-                    let t1 = Instant::now();
-                    prepare_nanos += nanos_between(t0, t1);
-                    inflight.push_back((token, t0));
-                    while inflight.len() >= depth {
-                        let Some((p, p_submitted)) = inflight.pop_front() else {
-                            break;
-                        };
-                        let tc0 = Instant::now();
-                        let filled = self.reader.complete_group(p)?;
-                        let t2 = Instant::now();
-                        complete_nanos += nanos_between(tc0, t2);
-                        self.cq_hist.record(nanos_between(tc0, t2));
-                        self.spans.record("io_group", p_submitted, t2);
-                        consume(&filled);
-                        aggregate_nanos += nanos_between(t2, Instant::now());
-                        self.buf_pool.push(filled);
-                    }
-                }
-                while let Some((p, p_submitted)) = inflight.pop_front() {
-                    let t1 = Instant::now();
-                    let filled = self.reader.complete_group(p)?;
-                    let t2 = Instant::now();
-                    complete_nanos += nanos_between(t1, t2);
-                    self.cq_hist.record(nanos_between(t1, t2));
-                    self.spans.record("io_group", p_submitted, t2);
-                    consume(&filled);
-                    aggregate_nanos += nanos_between(t2, Instant::now());
-                    self.buf_pool.push(filled);
-                }
-            }
+            let Some((token, t0)) = inflight.pop_front() else {
+                break;
+            };
+            let t1 = submitted_at.unwrap_or_else(Instant::now);
+            let filled = self.reader.complete_group(token)?;
+            let t2 = Instant::now();
+            complete_nanos += nanos_between(t1, t2);
+            self.cq_hist.record(nanos_between(t1, t2));
+            self.spans.record("io_group", t0, t2);
+            consume(&filled);
+            aggregate_nanos += nanos_between(t2, Instant::now());
+            self.buf_pool.push(filled);
         }
         self.metrics.prepare_nanos += prepare_nanos;
         self.metrics.complete_nanos += complete_nanos;
@@ -1040,8 +968,7 @@ impl SamplerWorker {
                 .map(|b| b.capacity())
                 .sum::<usize>()) as u64
             + 2 * self.cfg.ring_entries as u64 * ENTRY_BYTES
-            + 64 * 1024
-            + self.regbuf_bytes;
+            + 64 * 1024;
         if actual > self.charged_bytes {
             self.workspace_charge
                 .grow(actual - self.charged_bytes, "thread workspace")?;
@@ -1342,10 +1269,6 @@ mod tests {
         assert!(m2.sampled_edges > m1.sampled_edges);
     }
 
-    /// Env mutation is process-wide; serialize tests that toggle the
-    /// forced-failure registration hook within this test binary.
-    static PLAN_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn all_plan_modes_match_naive_output() {
         let graph = test_graph("planmodes");
@@ -1498,60 +1421,6 @@ mod tests {
     }
 
     #[test]
-    fn register_buffers_equivalent_and_counted() {
-        let _guard = PLAN_ENV_LOCK.lock().unwrap();
-        let graph = test_graph("regbuf");
-        let mk = |reg| {
-            SamplerConfig::new()
-                .fanouts(&[5, 4])
-                .ring_entries(8)
-                .seed(31)
-                .engine(EngineKind::Uring)
-                .read_plan(ReadPlanMode::coalesce())
-                .register_buffers(reg)
-        };
-        let seeds: Vec<NodeId> = (0..64).collect();
-        let mut w_on = worker(&graph, mk(true));
-        let mut w_off = worker(&graph, mk(false));
-        let a = w_on.sample_batch(&seeds, 0).unwrap();
-        let b = w_off.sample_batch(&seeds, 0).unwrap();
-        assert_eq!(a, b);
-        let m = w_on.metrics();
-        assert_eq!(m.regbuf_fallbacks, 0, "registration should succeed here");
-        assert!(m.fixed_buf_reads > 0, "fixed-buffer reads should be used");
-        assert_eq!(w_off.metrics().fixed_buf_reads, 0);
-    }
-
-    #[test]
-    fn register_buffers_failure_degrades_gracefully() {
-        let _guard = PLAN_ENV_LOCK.lock().unwrap();
-        std::env::set_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS", "1");
-        let graph = test_graph("regbuf-fail");
-        let cfg = SamplerConfig::new()
-            .fanouts(&[4, 3])
-            .ring_entries(8)
-            .seed(37)
-            .engine(EngineKind::Uring)
-            .register_buffers(true);
-        let result = SamplerWorker::new(Arc::clone(&graph), cfg);
-        std::env::remove_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS");
-        let mut w = result.expect("registration failure must not be an error");
-        let seeds: Vec<NodeId> = (0..64).collect();
-        w.sample_batch(&seeds, 0).unwrap();
-        let m = w.metrics();
-        assert_eq!(m.regbuf_fallbacks, 1, "fallback must be counted");
-        assert_eq!(m.fixed_buf_reads, 0);
-        let fallback_spans = w
-            .stats()
-            .spans
-            .events()
-            .iter()
-            .filter(|e| e.name == "regbuf_fallback")
-            .count();
-        assert_eq!(fallback_spans, 1, "fallback must leave a span");
-    }
-
-    #[test]
     fn flight_recorder_captures_batch_lifecycle() {
         let graph = test_graph("trace");
         let cfg = SamplerConfig::new().fanouts(&[4, 3]).ring_entries(8).seed(2);
@@ -1643,41 +1512,5 @@ mod tests {
         assert_eq!(hit_sum, s.metrics.cache_hits, "hit events sum to counter");
         assert_eq!(miss_sum, s.metrics.cache_misses, "miss events sum to counter");
         assert!(hit_sum > 0, "repeat batches must record hits");
-    }
-
-    #[test]
-    fn regbuf_failure_leaves_trace_event() {
-        let _guard = PLAN_ENV_LOCK.lock().unwrap();
-        std::env::set_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS", "1");
-        let graph = test_graph("trace-regbuf");
-        let cfg = SamplerConfig::new()
-            .fanouts(&[3])
-            .ring_entries(8)
-            .engine(EngineKind::Uring)
-            .register_buffers(true);
-        let result = SamplerWorker::new(Arc::clone(&graph), cfg);
-        std::env::remove_var("RINGSAMPLER_FAIL_REGISTER_BUFFERS");
-        let mut w = result.expect("registration failure must not be an error");
-        let s = w.take_stats();
-        let fallbacks = s
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::RegBufFallback)
-            .count();
-        assert_eq!(fallbacks, 1, "fallback must reach the flight recorder");
-    }
-
-    #[test]
-    fn pread_with_register_buffers_counts_fallback() {
-        let graph = test_graph("regbuf-pread");
-        let cfg = SamplerConfig::new()
-            .fanouts(&[3])
-            .ring_entries(8)
-            .engine(EngineKind::Pread)
-            .register_buffers(true);
-        let mut w = worker(&graph, cfg);
-        let seeds: Vec<NodeId> = (0..32).collect();
-        w.sample_batch(&seeds, 0).unwrap();
-        assert_eq!(w.metrics().regbuf_fallbacks, 1);
     }
 }

@@ -34,10 +34,6 @@ fn golden_report() -> EpochReport {
             reads_planned: 768,
             reads_saved: 256,
             bytes_saved: 1_024,
-            fixed_buf_reads: 512,
-            regbuf_fallbacks: 1,
-            bufring_reads: 256,
-            bufring_recycles: 256,
             ring_mode_fallbacks: 1,
         },
         ring_mode: RingMode::DeferTaskrun,
@@ -47,7 +43,6 @@ fn golden_report() -> EpochReport {
             requested_flags: (1 << 8) | (1 << 13) | (1 << 12),
             granted_flags: (1 << 8) | (1 << 13),
             ring_fd_registered: true,
-            buf_ring_active: false,
             lazy_submission: true,
         },
         ..Default::default()

@@ -72,7 +72,7 @@ fn arb_bool() -> impl Strategy<Value = bool> {
 }
 
 fn arb_ring_mode() -> impl Strategy<Value = RingMode> {
-    (0u8..4).prop_map(|i| RingMode::ALL[i as usize])
+    (0..RingMode::ALL.len()).prop_map(|i| RingMode::ALL[i])
 }
 
 proptest! {

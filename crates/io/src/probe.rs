@@ -43,13 +43,6 @@ pub struct UringCaps {
     pub defer_taskrun: bool,
     /// `IORING_REGISTER_RING_FDS` succeeded (registered-ring-fd enters).
     pub registered_ring_fds: bool,
-    /// Provided buffer rings are *functional*: `IORING_REGISTER_PBUF_RING`
-    /// succeeded AND a real `IOSQE_BUFFER_SELECT` read completed with
-    /// `IORING_CQE_F_BUFFER` set and the payload in the selected buffer.
-    /// (Some sandbox kernels accept the registration but silently ignore
-    /// buffer selection, turning every select read into an `EFAULT` read
-    /// from address zero — registration success alone proves nothing.)
-    pub buf_ring: bool,
     /// `IORING_OP_READ` is implemented per `IORING_REGISTER_PROBE` (the
     /// whole ladder reads through this opcode).
     pub read_op: bool,
@@ -76,58 +69,17 @@ pub fn uring_caps() -> UringCaps {
                 | sys::IORING_SETUP_DEFER_TASKRUN,
         )
         .is_ok();
-        // Registered ring fds + pbuf rings: exercise the registrations on a
-        // live throwaway ring and check what actually stuck.
-        if let Ok(mut ring) = RingBuilder::new()
-            .entries(4)
-            .register_ring_fd(true)
-            .buf_ring(2, 4096)
-            .build()
-        {
+        // Registered ring fds: exercise the registration on a live
+        // throwaway ring and check whether it actually stuck.
+        if let Ok(mut ring) = RingBuilder::new().entries(4).register_ring_fd(true).build() {
             caps.read_op = ring.probe_op_supported(sys::IORING_OP_READ);
             // Ring-fd registration happens at arm time (first enter).
             if ring.prepare_nop(0).is_ok() && ring.submit_and_wait(1).is_ok() {
                 caps.registered_ring_fds = ring.setup_info().ring_fd_registered;
             }
-            caps.buf_ring = ring.buf_ring_active() && buf_select_roundtrip(&mut ring);
         }
         caps
     })
-}
-
-/// Performs one real `IOSQE_BUFFER_SELECT` read on `ring` and verifies the
-/// kernel actually honored the selection: `IORING_CQE_F_BUFFER` set, the
-/// payload delivered into the *selected* arena buffer. Returns `false` on
-/// any deviation, which is how lying sandbox kernels are caught.
-fn buf_select_roundtrip(ring: &mut Ring) -> bool {
-    use std::os::unix::io::AsRawFd;
-    const PATTERN: &[u8; 16] = b"ringsampler-pbuf";
-    let path = std::env::temp_dir().join(format!("rs-io-capprobe-{}", std::process::id()));
-    let ok = (|| -> Option<bool> {
-        std::fs::write(&path, PATTERN).ok()?;
-        let f = std::fs::File::open(&path).ok()?;
-        // ringlint: allow(swallowed-ring-error) — `.ok()?` maps failure to probe-negative; a kernel that rejects BUFFER_SELECT SQEs is exactly what this probe reports
-        ring.prepare_read_select(f.as_raw_fd(), false, PATTERN.len() as u32, 0, u64::MAX)
-            .ok()?;
-        // ringlint: allow(swallowed-ring-error) — `.ok()?` converts failure into a probe-negative return; a refusing kernel is the expected outcome this probe exists to detect
-        ring.submit_and_wait(1).ok()?;
-        // ringlint: allow(swallowed-ring-error) — same probe-negative conversion: any error here means BUFFER_SELECT is not usable, which is the answer
-        let c = ring.wait_completion().ok()?;
-        if c.user_data != u64::MAX
-            || c.result != PATTERN.len() as i32
-            || c.flags & sys::IORING_CQE_F_BUFFER == 0
-        {
-            return Some(false);
-        }
-        let bid = (c.flags >> sys::IORING_CQE_BUFFER_SHIFT) as u16;
-        let mut out = [0u8; 16];
-        let n = ring.buf_ring_copy(bid, out.len(), &mut out);
-        ring.buf_ring_recycle(bid);
-        Some(n == PATTERN.len() && out == *PATTERN)
-    })()
-    .unwrap_or(false);
-    std::fs::remove_file(&path).ok();
-    ok
 }
 
 /// The best engine available on this system.

@@ -7,8 +7,8 @@
 //! body), so any cross-publish mixture fails the check. The version
 //! counter's parity/equality protocol is what must prevent that.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use ringstat::SnapshotCell;
@@ -55,7 +55,13 @@ proptest! {
     /// Writer spins `writes` publishes; `readers` threads read
     /// concurrently and assert every successful read is internally
     /// consistent and that observed sequence numbers never go backwards
-    /// (the single writer publishes monotonically).
+    /// (the single writer publishes monotonically). The writer starts
+    /// only once every reader thread is running, so on a host with fewer
+    /// cores than threads the readers still overlap the publishes instead
+    /// of being scheduled after the writer has finished. The barrier alone
+    /// is not enough for that: readers parked in it must still be woken
+    /// and scheduled, so each also reports itself running before the
+    /// writer begins.
     #[test]
     fn concurrent_readers_never_observe_torn_snapshots(
         writes in 200u64..2_000,
@@ -63,12 +69,18 @@ proptest! {
     ) {
         let cell = Arc::new(SnapshotCell::new(TornProbe::at(0)));
         let done = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(Barrier::new(readers + 1));
+        let running = Arc::new(AtomicUsize::new(0));
 
         let reader_handles: Vec<_> = (0..readers)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let done = Arc::clone(&done);
+                let started = Arc::clone(&started);
+                let running = Arc::clone(&running);
                 std::thread::spawn(move || {
+                    started.wait();
+                    running.fetch_add(1, Ordering::AcqRel);
                     let mut last_seq = 0u64;
                     let mut observed = 0u64;
                     while !done.load(Ordering::Acquire) {
@@ -94,6 +106,10 @@ proptest! {
             })
             .collect();
 
+        started.wait();
+        while running.load(Ordering::Acquire) < readers {
+            std::thread::yield_now();
+        }
         for seq in 1..=writes {
             cell.publish(TornProbe::at(seq));
             if seq % 64 == 0 {
